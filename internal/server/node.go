@@ -17,7 +17,7 @@ import (
 )
 
 // NodeConfig turns a Server into one node of a multi-process cluster. The
-// node serves the /v1/node/* coordination vocabulary (chunk extract/install,
+// node serves the /v1/node/* coordination vocabulary (chunk move/install,
 // ownership flips, crash/restore) next to the regular transaction endpoints,
 // and forwards transactions for partitions hosted elsewhere to their hosting
 // peer.
@@ -86,7 +86,6 @@ const maxForwardHops = 3
 
 func (s *Server) registerNodeHandlers(mux *http.ServeMux) {
 	mux.HandleFunc(wire.PathNodeMove, s.handleNodeMove)
-	mux.HandleFunc(wire.PathNodeExtract, s.handleNodeExtract)
 	mux.HandleFunc(wire.PathNodeInstall, s.handleNodeInstall)
 	mux.HandleFunc(wire.PathNodeFlip, s.handleNodeFlip)
 	mux.HandleFunc(wire.PathNodeCrash, s.handleNodeCrash)
@@ -140,6 +139,18 @@ func writeNodeError(w http.ResponseWriter, err error) {
 	writeResponse(w, wire.Response{Status: wire.StatusOf(code), Code: code, Error: err.Error()})
 }
 
+// writeChunk replies with a chunk stream, encoded in full first so an
+// encoding failure can still become an error reply.
+func writeChunk(w http.ResponseWriter, meta wire.ChunkMeta, frames []wire.BucketFrame) {
+	var buf bytes.Buffer
+	if err := wire.WriteChunkStream(&buf, meta, frames); err != nil {
+		writeNodeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", wire.ContentTypeChunk)
+	_, _ = w.Write(buf.Bytes())
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -161,57 +172,30 @@ func decodeNodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // errBadNodeRequest maps malformed node-plane bodies to CodeBadRequest.
 var errBadNodeRequest = errors.New("server: bad node request")
 
-// handleNodeMove executes a same-node MoveBuckets: both partitions are
-// hosted here, so the node runs the full in-process migration protocol.
+// handleNodeMove runs the source side of a chunk move on a hosted source
+// partition (Engine.MoveOut). Local ownership flips as part of the step; the
+// reply is the extracted chunk when the destination is hosted elsewhere, or
+// a header with Installed set when this node installed it itself.
 func (s *Server) handleNodeMove(w http.ResponseWriter, r *http.Request) {
 	var req wire.NodeMove
 	if !decodeNodeJSON(w, r, &req) {
 		return
 	}
-	perRow := time.Duration(req.PerRowNs)
-	overhead := time.Duration(req.OverheadNs)
-	var (
-		rows int
-		err  error
-	)
-	if req.Rollback {
-		rows, err = s.cfg.Engine.MoveBucketsRollback(req.Buckets, req.From, req.To, perRow, overhead)
-	} else {
-		rows, err = s.cfg.Engine.MoveBuckets(req.Buckets, req.From, req.To, perRow, overhead)
-	}
+	op := store.MoveOp{From: req.From, To: req.To, Buckets: req.Buckets, Rollback: req.Rollback}
+	rows, chunk, err := s.cfg.Engine.MoveOut(op, time.Duration(req.PerRowNs), time.Duration(req.OverheadNs))
 	if err != nil {
 		writeNodeError(w, err)
 		return
 	}
-	writeJSON(w, wire.NodeRows{Rows: rows})
-}
-
-// handleNodeExtract pulls a chunk out of a hosted source partition and
-// streams it back; local ownership flips to the destination as part of the
-// extract, exactly like the in-process protocol's source half.
-func (s *Server) handleNodeExtract(w http.ResponseWriter, r *http.Request) {
-	var req wire.NodeMove
-	if !decodeNodeJSON(w, r, &req) {
-		return
+	meta := wire.ChunkMeta{Rows: rows, Installed: true}
+	var frames []wire.BucketFrame
+	if chunk != nil {
+		if meta, frames, err = wire.ChunkFromBucketData(*chunk); err != nil {
+			writeNodeError(w, err)
+			return
+		}
 	}
-	data, err := s.cfg.Engine.ExtractBuckets(req.Buckets, req.From, req.To,
-		time.Duration(req.PerRowNs), time.Duration(req.OverheadNs), req.Rollback)
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	meta, frames, err := wire.ChunkFromBucketData(data)
-	if err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", wire.ContentTypeChunk)
-	var buf bytes.Buffer
-	if err := wire.WriteChunkStream(&buf, meta, frames); err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	_, _ = w.Write(buf.Bytes())
+	writeChunk(w, meta, frames)
 }
 
 // handleNodeInstall merges an incoming chunk into a hosted destination
@@ -371,13 +355,7 @@ func (s *Server) handleNodeSnapshot(w http.ResponseWriter, r *http.Request) {
 		meta.Rows += f.Rows
 		frames = append(frames, f)
 	}
-	w.Header().Set("Content-Type", wire.ContentTypeChunk)
-	var buf bytes.Buffer
-	if err := wire.WriteChunkStream(&buf, meta, frames); err != nil {
-		writeNodeError(w, err)
-		return
-	}
-	_, _ = w.Write(buf.Bytes())
+	writeChunk(w, meta, frames)
 }
 
 // handleNodeStatus serves the node's self-description: identity, geometry,

@@ -445,12 +445,13 @@ func (s *Server) maybeFollowerCheckpointLocked(rm *recovery.Manager, fresh int) 
 }
 
 // applyShippedPlan re-runs a primary-side plan change locally: changed
-// buckets move between partitions this node hosts (a real local migration,
-// so rows follow ownership), leave hosted partitions when their new owner
-// lives elsewhere (that node's own WAL covers them now), or merely flip
-// ownership when neither side is hosted here. An inbound migration from
-// another node has no row source in the WAL at all — the primary received
-// those rows out-of-band, bumped its baseline, and this replica resyncs.
+// buckets whose old owner this node hosts go through the engine's move step
+// (MoveOut), so rows follow ownership between hosted partitions and leave
+// when their new owner lives elsewhere (that node's own WAL covers them
+// now); every other change merely flips ownership. An inbound migration
+// from another node has no row source in the WAL at all — the primary
+// received those rows out-of-band, bumped its baseline, and this replica
+// resyncs.
 func (s *Server) applyShippedPlan(rec *wire.ShipRecord) error {
 	eng := s.cfg.Engine
 	cur := eng.Plan()
@@ -466,21 +467,14 @@ func (s *Server) applyShippedPlan(rec *wire.ShipRecord) error {
 		}
 	}
 	for h, buckets := range groups {
-		fromHosted := eng.Hosted(eng.MachineOfPartition(h.from))
-		toHosted := eng.Hosted(eng.MachineOfPartition(h.to))
-		switch {
-		case fromHosted && toHosted:
-			if _, err := eng.MoveBuckets(buckets, h.from, h.to, 0, 0); err != nil {
-				return err
-			}
-		case fromHosted:
-			if _, err := eng.ExtractBuckets(buckets, h.from, h.to, 0, 0, false); err != nil {
-				return err
-			}
-		default:
-			if err := eng.ApplyOwnership(buckets, h.to); err != nil {
-				return err
-			}
+		var err error
+		if eng.Hosted(eng.MachineOfPartition(h.from)) {
+			_, _, err = eng.MoveOut(store.MoveOp{From: h.from, To: h.to, Buckets: buckets}, 0, 0)
+		} else {
+			err = eng.ApplyOwnership(buckets, h.to)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if rec.Active > 0 && rec.Active != eng.ActiveMachines() {

@@ -103,3 +103,20 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// checkIDs refuses partition and bucket ids outside the geometry with
+// ErrInvalidMove: they index the plan and the partition table, and node
+// requests carry them in from outside the process.
+func (c Config) checkIDs(buckets []int, parts ...int) error {
+	for _, p := range parts {
+		if n := c.MaxMachines * c.PartitionsPerMachine; p < 0 || p >= n {
+			return fmt.Errorf("%w: partition %d out of range [0, %d)", ErrInvalidMove, p, n)
+		}
+	}
+	for _, b := range buckets {
+		if b < 0 || b >= c.Buckets {
+			return fmt.Errorf("%w: bucket %d out of range [0, %d)", ErrInvalidMove, b, c.Buckets)
+		}
+	}
+	return nil
+}

@@ -75,6 +75,54 @@ type FaultInjector interface {
 	BeforeMove(op MoveOp) error
 }
 
+// ErrInvalidMove reports a chunk move that names a partition or bucket
+// outside the cluster geometry, or a bucket its source does not own. The
+// wire layer maps it to bad_request.
+var ErrInvalidMove = errors.New("store: invalid move")
+
+// MoveView is the cluster state a chunk move is checked against: the
+// geometry, the plan and the crash fencing. The engine and the networked
+// coordinator each pass their own view.
+type MoveView interface {
+	Config() Config
+	OwnerOf(bucket int) int
+	PartitionDown(part int) bool
+}
+
+// ValidateMove is the one check every chunk move passes before any data
+// leaves its source, in-process or networked: partition and bucket range,
+// ownership by the source, and — for forward moves only — that neither
+// endpoint is down. fi, when non-nil, is consulted last, so a refused move
+// never consumes a fault decision and every topology offers the injector
+// the same MoveOp sequence. Callers treat a move from a partition to itself
+// as a no-op before calling it.
+func ValidateMove(v MoveView, fi FaultInjector, op MoveOp) error {
+	cfg := v.Config()
+	if err := cfg.checkIDs(op.Buckets, op.From, op.To); err != nil {
+		return err
+	}
+	for _, b := range op.Buckets {
+		if own := v.OwnerOf(b); own != op.From {
+			return fmt.Errorf("%w: bucket %d owned by partition %d, not %d", ErrInvalidMove, b, own, op.From)
+		}
+	}
+	if !op.Rollback {
+		// A down source has a stale image and a down destination cannot
+		// acknowledge. Rollbacks are exempt so an aborted migration can
+		// always be undone: executors stay alive while down, and the
+		// source still holds the chunk it is restoring.
+		for _, part := range []int{op.From, op.To} {
+			if v.PartitionDown(part) {
+				return partitionDownError(part)
+			}
+		}
+	}
+	if fi != nil {
+		return fi.BeforeMove(op)
+	}
+	return nil
+}
+
 // faultHolder wraps the injector interface so it can live in an
 // atomic.Pointer (and be cleared by storing a holder with a nil injector).
 type faultHolder struct{ fi FaultInjector }
@@ -216,8 +264,9 @@ func (e *Engine) SetServiceTime(name string, d time.Duration) error {
 func (e *Engine) SetRecorder(r *metrics.Recorder) { e.recorder.Store(r) }
 
 // SetFaultInjector attaches (or, with nil, detaches) a migration fault
-// injector. Every forward MoveBuckets chunk is offered to it before
-// executing; rollback moves bypass injection. Safe to call at any time.
+// injector. ValidateMove offers it every chunk move that passed its checks,
+// before any data leaves the source; rollbacks are offered with Rollback set
+// and must not be failed. Safe to call at any time.
 func (e *Engine) SetFaultInjector(fi FaultInjector) {
 	e.faults.Store(&faultHolder{fi: fi})
 }
@@ -457,78 +506,78 @@ func (e *Engine) admit(dest *partition) error {
 // number of rows moved. The source executor is occupied for
 // overhead + rows*perRow and the destination for half that — the
 // transaction-processing interference of migration. It blocks until the
-// destination has installed the data. An attached FaultInjector is consulted
-// first; an injected error fails the move before any data leaves the source,
-// so a failed chunk is all-or-nothing.
+// destination has installed the data and ownership has flipped. The move is
+// checked by ValidateMove, which consults an attached FaultInjector last; an
+// injected error fails the move before any data leaves the source, so a
+// failed chunk is all-or-nothing. Both partitions must be hosted on this
+// engine.
 func (e *Engine) MoveBuckets(buckets []int, from, to int, perRow, overhead time.Duration) (int, error) {
-	return e.moveBuckets(buckets, from, to, perRow, overhead, false)
+	return e.moveBuckets(MoveOp{From: from, To: to, Buckets: buckets}, perRow, overhead)
 }
 
 // MoveBucketsRollback is MoveBuckets for the undo path of an aborted
-// migration: fault injection is bypassed, so recovery cannot itself be
-// failed by the chaos plane.
+// migration: the down-partition checks are skipped and the FaultInjector
+// must not fail it, so recovery cannot itself be failed by the chaos plane.
 func (e *Engine) MoveBucketsRollback(buckets []int, from, to int, perRow, overhead time.Duration) (int, error) {
-	return e.moveBuckets(buckets, from, to, perRow, overhead, true)
+	return e.moveBuckets(MoveOp{From: from, To: to, Buckets: buckets, Rollback: true}, perRow, overhead)
 }
 
-func (e *Engine) moveBuckets(buckets []int, from, to int, perRow, overhead time.Duration, rollback bool) (int, error) {
-	if from == to {
-		return 0, nil
+func (e *Engine) moveBuckets(op MoveOp, perRow, overhead time.Duration) (int, error) {
+	if op.From != op.To && e.foreign(op.To) {
+		// MoveOut would hand the chunk back; this entry point has no node
+		// to carry it to.
+		return 0, notOwnedError(op.To)
 	}
-	if from < 0 || from >= len(e.parts) || to < 0 || to >= len(e.parts) {
-		return 0, fmt.Errorf("store: partition out of range (%d -> %d)", from, to)
+	rows, _, err := e.MoveOut(op, perRow, overhead)
+	return rows, err
+}
+
+// MoveOut is the source side of every chunk move, in-process or networked.
+// It checks the move with ValidateMove against this engine's plan and crash
+// fencing, then has the source executor extract the buckets, pay the send
+// cost and flip ownership to op.To. When op.To is hosted on this engine the
+// install is enqueued there before the flip, and MoveOut returns once both
+// have happened, with a nil chunk. Otherwise the extracted chunk is returned
+// for the caller to install at the destination's node (InstallBuckets). A
+// move from a partition to itself is a no-op.
+func (e *Engine) MoveOut(op MoveOp, perRow, overhead time.Duration) (int, *BucketData, error) {
+	if op.From == op.To {
+		return 0, nil, nil
 	}
-	if !e.hostedAll {
-		// A direct move needs both endpoints on this node; cross-node chunks
-		// go through ExtractBuckets/InstallBuckets instead.
-		if !e.hosted[from/e.cfg.PartitionsPerMachine] {
-			return 0, notOwnedError(from)
-		}
-		if !e.hosted[to/e.cfg.PartitionsPerMachine] {
-			return 0, notOwnedError(to)
-		}
+	if e.foreign(op.From) {
+		return 0, nil, notOwnedError(op.From)
 	}
-	for _, b := range buckets {
-		if own := e.ownerOf(b); own != from {
-			return 0, fmt.Errorf("store: bucket %d owned by partition %d, not %d", b, own, from)
-		}
+	var fi FaultInjector
+	if h := e.faults.Load(); h != nil {
+		fi = h.fi
 	}
-	if !rollback {
-		// Forward moves refuse crashed endpoints: a down source has a stale
-		// image and a down destination cannot acknowledge. Rollback moves are
-		// exempt so an aborted migration can always be undone (the executors
-		// stay alive while down; only transaction execution is fenced).
-		if e.parts[from].down.Load() {
-			return 0, partitionDownError(from)
-		}
-		if e.parts[to].down.Load() {
-			return 0, partitionDownError(to)
-		}
-	}
-	if h := e.faults.Load(); h != nil && h.fi != nil {
-		if err := h.fi.BeforeMove(MoveOp{From: from, To: to, Buckets: buckets, Rollback: rollback}); err != nil {
-			return 0, err
-		}
+	if err := ValidateMove(e, fi, op); err != nil {
+		return 0, nil, err
 	}
 	req := &ctlRequest{
 		kind:     ctlMoveOut,
-		buckets:  buckets,
-		dest:     e.parts[to],
+		buckets:  op.Buckets,
+		dest:     e.parts[op.To],
 		perRow:   perRow,
 		overhead: overhead,
-		rollback: rollback,
-		done:     make(chan moveResult, 1),
+		rollback: op.Rollback,
+		flipped:  make(chan struct{}),
 	}
-	src := e.parts[from]
-	// Control requests ride the priority lane so a saturated data backlog
-	// cannot starve the migration that would relieve it.
-	select {
-	case src.ctlQueue() <- request{ctl: req}:
-	case <-src.stop:
-		return 0, ErrStopped
+	res := e.parts[op.From].call(req)
+	if res.err != nil {
+		return 0, nil, res.err
 	}
-	res := <-req.done
-	return res.rows, res.err
+	if res.chunk == nil {
+		// The local install replied; the source may not have flipped yet.
+		<-req.flipped
+	}
+	return res.rows, res.chunk, nil
+}
+
+// foreign reports whether an in-range partition belongs to a machine this
+// engine does not host. Out-of-range ids are left to ValidateMove.
+func (e *Engine) foreign(part int) bool {
+	return !e.hostedAll && part >= 0 && part < len(e.parts) && !e.hosted[part/e.cfg.PartitionsPerMachine]
 }
 
 // OwnerOf returns the partition currently owning a bucket.

@@ -299,18 +299,41 @@ func TestEngineMoveBucketsPreservesData(t *testing.T) {
 	}
 }
 
-func TestEngineMoveBucketsValidation(t *testing.T) {
-	e := testEngine(t, smallConfig())
+// TestMoveBucketsReturnsAfterFlip pins the completion contract of
+// MoveBuckets: by the time it returns success, the plan already names the
+// destination for every moved bucket. Concurrent movers contend on the plan
+// lock, which widens the window between the destination's install and the
+// source's ownership flip; run it with -cpu 4 to give every mover its own
+// thread.
+func TestMoveBucketsReturnsAfterFlip(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Buckets = 240
+	cfg.InitialMachines = cfg.MaxMachines
+	e := testEngine(t, cfg)
 	e.Start()
-	if _, err := e.MoveBuckets([]int{0}, 0, 99, 0, 0); err == nil {
-		t.Error("out-of-range destination accepted")
+	const rounds = 300
+	var wg sync.WaitGroup
+	for m := 0; m < cfg.MaxMachines; m++ {
+		wg.Add(1)
+		go func(a, b int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				buckets := e.OwnedBuckets(a)
+				if _, err := e.MoveBuckets(buckets, a, b, 0, 0); err != nil {
+					t.Errorf("move %d -> %d: %v", a, b, err)
+					return
+				}
+				for _, bk := range buckets {
+					if own := e.OwnerOf(bk); own != b {
+						t.Errorf("round %d: MoveBuckets(%d -> %d) returned while bucket %d is still owned by %d", i, a, b, bk, own)
+						return
+					}
+				}
+				a, b = b, a
+			}
+		}(2*m, 2*m+1)
 	}
-	if _, err := e.MoveBuckets([]int{0}, 1, 2, 0, 0); err == nil {
-		t.Error("moving unowned bucket accepted")
-	}
-	if _, err := e.MoveBuckets([]int{0}, 3, 3, 0, 0); err != nil {
-		t.Errorf("no-op move rejected: %v", err)
-	}
+	wg.Wait()
 }
 
 // TestEngineLiveMigrationUnderLoad runs clients continuously while buckets

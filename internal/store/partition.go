@@ -163,8 +163,6 @@ func (p *partition) handle(req request) {
 		switch req.ctl.kind {
 		case ctlMoveOut:
 			p.moveOut(req.ctl)
-		case ctlExtract:
-			p.extractOut(req.ctl)
 		case ctlInstall:
 			p.install(req.ctl)
 		case ctlCrash:
@@ -289,16 +287,23 @@ func runTxn(fn TxnFunc, tx *Tx) (v any, err error) {
 	return fn(tx)
 }
 
-// moveOut extracts buckets, enqueues their installation at the destination,
-// then flips ownership. Requests already queued behind this one see the new
-// ownership and are forwarded, landing behind the install in the
-// destination's FIFO queue — so no transaction can observe missing data.
+// moveOut is the source side of every chunk move: it extracts the buckets,
+// occupies the executor for the send cost and flips ownership to the
+// destination. A destination hosted on this engine gets its install enqueued
+// before the flip, so once the flip is visible forwarded transactions queue
+// behind the install: it rides the destination's priority lane, which the
+// executor drains before the data queue. A destination on another node gets
+// the chunk back in the reply instead; transactions routed here after the
+// flip fail with ErrNotOwned and the node front end re-routes them to the
+// destination's node, where they queue behind the install the same way.
+// A local install replies to the caller itself and can land before the
+// flip, so the flip is signalled separately by closing r.flipped.
 func (p *partition) moveOut(r *ctlRequest) {
 	if p.down.Load() && !r.rollback {
-		// A crashed partition cannot stream its data anywhere — the image
-		// is stale by definition. Rollback moves are exempt: they restore
-		// chunks the *source* still holds (Squall's source-retains-copy
-		// protocol), so an aborted migration can always be undone.
+		// A crash queued after validation wins: a crashed partition cannot
+		// stream its stale image anywhere. Rollbacks restore chunks the
+		// source still holds (Squall's source-retains-copy protocol), so an
+		// aborted migration can always be undone.
 		r.done <- moveResult{err: partitionDownError(p.id)}
 		return
 	}
@@ -310,18 +315,13 @@ func (p *partition) moveOut(r *ctlRequest) {
 		time.Sleep(cost)
 	}
 	atomic.AddInt64(&p.rowsAtomic, -int64(rows))
-	install := &ctlRequest{
-		kind: ctlInstall,
-		data: data,
-		cost: r.overhead/2 + time.Duration(rows)*r.perRow/2,
-		done: r.done,
+	if p.eng.foreign(r.dest.id) {
+		p.eng.setOwner(r.buckets, r.dest.id)
+		r.done <- moveResult{rows: rows, chunk: &data}
+		return
 	}
-	// Enqueue the install before flipping ownership: once the flip is
-	// visible, forwarded transactions always queue behind the install. The
-	// install rides the destination's priority lane, so it cannot starve
-	// behind a saturated data backlog — and since forwarded transactions
-	// enter the data queue, which the executor serves only after draining
-	// the lane, they still execute after the install.
+	install := installRequest(data, r.perRow, r.overhead)
+	install.done = r.done
 	select {
 	case r.dest.ctlQueue() <- request{ctl: install}:
 	case <-r.dest.stop:
@@ -329,29 +329,29 @@ func (p *partition) moveOut(r *ctlRequest) {
 		return
 	}
 	p.eng.setOwner(r.buckets, r.dest.id)
+	close(r.flipped)
 }
 
-// extractOut is the cross-node half of moveOut: it extracts the buckets,
-// pays the full send cost and flips ownership to the (remote) destination
-// partition, but returns the data to the caller instead of enqueueing an
-// install — the chunk travels over the wire to another engine instance.
-// Once the flip is visible, transactions routed here fail with ErrNotOwned
-// (the destination machine is not hosted on this engine) and the node's
-// front end re-routes them to the destination's node, where they queue
-// behind the install exactly as forwarded transactions do in-process.
-func (p *partition) extractOut(r *ctlRequest) {
-	if p.down.Load() && !r.rollback {
-		r.done <- moveResult{err: partitionDownError(p.id)}
-		return
+// installRequest builds the destination half of a move: the receive cost is
+// half the send cost.
+func installRequest(data BucketData, perRow, overhead time.Duration) *ctlRequest {
+	return &ctlRequest{
+		kind: ctlInstall,
+		data: data,
+		cost: overhead/2 + time.Duration(data.Rows())*perRow/2,
 	}
-	data := p.store.extract(r.buckets)
-	rows := data.Rows()
-	if cost := r.overhead + time.Duration(rows)*r.perRow; cost > 0 {
-		time.Sleep(cost)
+}
+
+// call enqueues a control request on the priority lane, so a saturated data
+// backlog cannot starve it, and waits for the executor's reply.
+func (p *partition) call(r *ctlRequest) moveResult {
+	r.done = make(chan moveResult, 1)
+	select {
+	case p.ctlQueue() <- request{ctl: r}:
+	case <-p.stop:
+		return moveResult{err: ErrStopped}
 	}
-	atomic.AddInt64(&p.rowsAtomic, -int64(rows))
-	p.eng.setOwner(r.buckets, r.dest.id)
-	r.done <- moveResult{rows: rows, data: data}
+	return <-r.done
 }
 
 // install merges migrated buckets into this partition's data. It proceeds

@@ -98,14 +98,7 @@ func (e *Engine) Crash(machine int) error {
 		return fmt.Errorf("store: machine %d out of [0, %d)", machine, e.cfg.MaxMachines)
 	}
 	for _, part := range e.PartitionsOfMachine(machine) {
-		req := &ctlRequest{kind: ctlCrash, done: make(chan moveResult, 1)}
-		p := e.parts[part]
-		select {
-		case p.ctlQueue() <- request{ctl: req}:
-		case <-p.stop:
-			return ErrStopped
-		}
-		if res := <-req.done; res.err != nil {
+		if res := e.parts[part].call(&ctlRequest{kind: ctlCrash}); res.err != nil {
 			return res.err
 		}
 	}
@@ -152,14 +145,7 @@ func (e *Engine) SnapshotPartition(part int) ([]BucketSnapshot, error) {
 	if part < 0 || part >= len(e.parts) {
 		return nil, fmt.Errorf("store: partition %d out of range", part)
 	}
-	req := &ctlRequest{kind: ctlSnapshot, done: make(chan moveResult, 1)}
-	p := e.parts[part]
-	select {
-	case p.ctlQueue() <- request{ctl: req}:
-	case <-p.stop:
-		return nil, ErrStopped
-	}
-	res := <-req.done
+	res := e.parts[part].call(&ctlRequest{kind: ctlSnapshot})
 	return res.snaps, res.err
 }
 
@@ -177,13 +163,7 @@ func (e *Engine) RestorePartition(part int, snaps []BucketSnapshot, cmds []Repla
 	if !p.down.Load() {
 		return 0, fmt.Errorf("store: partition %d is not down", part)
 	}
-	req := &ctlRequest{kind: ctlRestore, snaps: snaps, cmds: cmds, done: make(chan moveResult, 1)}
-	select {
-	case p.ctlQueue() <- request{ctl: req}:
-	case <-p.stop:
-		return 0, ErrStopped
-	}
-	res := <-req.done
+	res := p.call(&ctlRequest{kind: ctlRestore, snaps: snaps, cmds: cmds})
 	return res.rows, res.err
 }
 

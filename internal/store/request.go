@@ -13,7 +13,8 @@ import (
 type request struct {
 	// txn is set for transaction executions — the hot path.
 	txn *txnRequest
-	// ctl is set for control-plane work (bucket move-out / install).
+	// ctl is set for control-plane work (moves, installs, crash, checkpoint
+	// and restore).
 	ctl *ctlRequest
 }
 
@@ -59,7 +60,9 @@ func releaseTxnReq(r *txnRequest) {
 type ctlKind uint8
 
 const (
+	// ctlMoveOut is the source side of a chunk move (partition.moveOut).
 	ctlMoveOut ctlKind = iota
+	// ctlInstall lands a chunk at its destination.
 	ctlInstall
 	// ctlCrash marks the partition down (machine crash).
 	ctlCrash
@@ -67,19 +70,15 @@ const (
 	ctlSnapshot
 	// ctlRestore rebuilds a down partition from snapshots + command replay.
 	ctlRestore
-	// ctlExtract is the cross-node half of a moveOut: extract the buckets,
-	// pay the full send cost, flip ownership to the (remote) destination
-	// partition and return the data to the caller instead of enqueueing an
-	// install — the data travels over the wire to another engine instance.
-	ctlExtract
 )
 
-// ctlRequest is a migration step processed by a partition executor. A
-// moveOut asks the executor to extract the given buckets, hand them to the
-// destination partition and flip ownership; an install carries the extracted
-// BucketData into the destination executor. The executor is occupied for the
-// simulated transfer cost on each side — the transaction-processing
-// interference of migration.
+// ctlRequest is a control-plane step processed by a partition executor. A
+// moveOut asks the source executor to extract the given buckets, flip
+// ownership to dest and either enqueue the install at dest (hosted here) or
+// return the chunk (dest hosted on another node); an install carries the
+// extracted BucketData into the destination executor. The executor is
+// occupied for the simulated transfer cost on each side — the
+// transaction-processing interference of migration.
 type ctlRequest struct {
 	kind ctlKind
 
@@ -91,6 +90,9 @@ type ctlRequest struct {
 	perRow   time.Duration
 	overhead time.Duration
 	rollback bool
+	// flipped is closed once a moveOut with a local install has flipped
+	// ownership; the install, not the source, sends the reply on done.
+	flipped chan struct{}
 
 	// install fields.
 	data BucketData
@@ -109,7 +111,8 @@ type moveResult struct {
 	rows int
 	// snaps carries a snapshot reply.
 	snaps []BucketSnapshot
-	// data carries an extract reply (cross-node move).
-	data BucketData
-	err  error
+	// chunk carries a moveOut's extracted data when the destination is on
+	// another node.
+	chunk *BucketData
+	err   error
 }

@@ -126,19 +126,13 @@ func (p *Peer) WaitHealthy(ctx context.Context, timeout time.Duration) error {
 	}
 }
 
-// Move executes a same-node MoveBuckets on the peer.
-func (p *Peer) Move(ctx context.Context, req wire.NodeMove) (int, error) {
-	var out wire.NodeRows
-	if err := p.postJSON(ctx, wire.PathNodeMove, req, &out); err != nil {
-		return 0, err
-	}
-	return out.Rows, nil
-}
-
-// Extract pulls a chunk out of the peer's source partition; the peer flips
-// its local ownership as part of the extract.
-func (p *Peer) Extract(ctx context.Context, req wire.NodeMove) (wire.ChunkMeta, []wire.BucketFrame, error) {
-	body, err := p.do(ctx, http.MethodPost, wire.PathNodeExtract, req)
+// Move runs the source side of a chunk move on the peer (Engine.MoveOut),
+// which flips the peer's local ownership. When the destination partition
+// is hosted there too, the peer installs the chunk itself and the reply is
+// a bare header with Installed set; otherwise the reply carries the chunk
+// for the caller to Install at the destination's node.
+func (p *Peer) Move(ctx context.Context, req wire.NodeMove) (wire.ChunkMeta, []wire.BucketFrame, error) {
+	body, err := p.do(ctx, http.MethodPost, wire.PathNodeMove, req)
 	if err != nil {
 		return wire.ChunkMeta{}, nil, err
 	}

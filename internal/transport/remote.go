@@ -19,22 +19,20 @@ import (
 // m is hosted by node m % len(peers). The coordinator keeps authoritative
 // mirrors of the plan, the active machine count and the down set — the
 // exact inputs Squall's planning reads — and decomposes each MoveBuckets
-// into node RPCs:
+// into node RPCs: one move RPC at the source node, which runs the engine's
+// source step (Engine.MoveOut) and either installs the chunk itself (the
+// destination is hosted there too) or returns it; a returned chunk is
+// installed at the destination's node, and a flip broadcast then reaches
+// the bystander nodes.
 //
-//	same node:   one move RPC (the node runs the in-process protocol)
-//	cross node:  extract at the source (source flips ownership as the data
-//	             leaves), install at the destination (destination flips
-//	             after the data lands), then a flip broadcast to bystander
-//	             nodes
-//
-// Between extract and the destination flip, transactions for the moving
-// buckets see transient not-owned refusals and are forwarded by the node
-// front ends — never missing data, the same invariant the in-process
+// Between the source flip and the destination flip, transactions for the
+// moving buckets see transient not-owned refusals and are forwarded by the
+// node front ends — never missing data, the same invariant the in-process
 // install-before-flip ordering provides.
 //
-// Determinism: the chunk-level fault injector is consulted coordinator-side
-// with the same MoveOp, in the same order relative to the ownership and
-// down checks, as the engine consults it in single-process mode — so a
+// Determinism: a move is checked by store.ValidateMove against the
+// coordinator's mirrors before any RPC, so the chunk-level fault injector
+// sees the identical MoveOp sequence it sees in single-process mode — a
 // fixed-seed chaos run takes identical drop/abort decisions in both modes
 // and converges on the identical final plan.
 type Remote struct {
@@ -204,14 +202,12 @@ func (r *Remote) OwnedBuckets(part int) []int {
 	return out
 }
 
-func (r *Remote) ownerOf(bucket int) int {
+// OwnerOf implements Node from the plan mirror.
+func (r *Remote) OwnerOf(bucket int) int {
 	r.planMu.Lock()
 	defer r.planMu.Unlock()
 	return int(r.plan[bucket])
 }
-
-// OwnerOf implements Node from the plan mirror.
-func (r *Remote) OwnerOf(bucket int) int { return r.ownerOf(bucket) }
 
 // BucketAccesses implements Node by summing per-bucket access counts over
 // the nodes (each bucket is hosted by exactly one node, so the sum is its
@@ -267,10 +263,7 @@ func (r *Remote) DownMachines() []int {
 	return out
 }
 
-// MoveBuckets implements Node. The validation sequence — ownership, down
-// checks, fault injector — mirrors Engine.moveBuckets exactly, so the
-// chunk-level fault schedule sees the identical MoveOp sequence it would
-// see in-process.
+// MoveBuckets implements Node.
 func (r *Remote) MoveBuckets(buckets []int, from, to int, perRow, overhead time.Duration) (int, error) {
 	return r.moveBuckets(buckets, from, to, perRow, overhead, false)
 }
@@ -286,28 +279,13 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 	if from == to {
 		return 0, nil
 	}
-	nParts := r.cfg.MaxMachines * r.cfg.PartitionsPerMachine
-	if from < 0 || from >= nParts || to < 0 || to >= nParts {
-		return 0, fmt.Errorf("store: partition out of range (%d -> %d)", from, to)
-	}
-	for _, b := range buckets {
-		if own := r.ownerOf(b); own != from {
-			return 0, fmt.Errorf("store: bucket %d owned by partition %d, not %d", b, own, from)
-		}
-	}
-	if !rollback {
-		if r.PartitionDown(from) {
-			return 0, fmt.Errorf("%w: partition %d", store.ErrPartitionDown, from)
-		}
-		if r.PartitionDown(to) {
-			return 0, fmt.Errorf("%w: partition %d", store.ErrPartitionDown, to)
-		}
-	}
 	op := store.MoveOp{From: from, To: to, Buckets: buckets, Rollback: rollback}
-	if h := r.fi.Load(); h != nil && h.fi != nil {
-		if err := h.fi.BeforeMove(op); err != nil {
-			return 0, err
-		}
+	var fi store.FaultInjector
+	if h := r.fi.Load(); h != nil {
+		fi = h.fi
+	}
+	if err := store.ValidateMove(r, fi, op); err != nil {
+		return 0, err
 	}
 
 	fromNode := r.NodeOf(from / r.cfg.PartitionsPerMachine)
@@ -343,18 +321,11 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 	ctx, cancel := r.ctx()
 	defer cancel()
 
-	var rows int
-	if fromNode == toNode {
-		n, err := r.peers[fromNode].Move(ctx, req)
-		if err != nil {
-			return 0, err
-		}
-		rows = n
-	} else {
-		meta, frames, err := r.peers[fromNode].Extract(ctx, req)
-		if err != nil {
-			return 0, err
-		}
+	meta, frames, err := r.peers[fromNode].Move(ctx, req)
+	if err != nil {
+		return 0, err
+	}
+	if !meta.Installed {
 		if _, err := r.peers[toNode].Install(ctx, req, meta, frames); err != nil {
 			// The chunk already left the source. Put it back (a rollback-
 			// style install, exempt from injection) so a failed transfer
@@ -366,12 +337,11 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 			}
 			return 0, err
 		}
-		rows = meta.Rows
 		r.deliverDup(pair, dec, toNode, req, meta, frames)
 	}
 
-	// The involved nodes flipped ownership during extract/install (or the
-	// single move RPC); mirror it and broadcast to bystanders.
+	// The involved nodes flipped ownership during the move (and install);
+	// mirror it and broadcast to bystanders.
 	r.applyPlan(buckets, to)
 	for i, p := range r.peers {
 		if i == fromNode || i == toNode {
@@ -383,7 +353,7 @@ func (r *Remote) moveBuckets(buckets []int, from, to int, perRow, overhead time.
 			r.flipErrors.Add(1)
 		}
 	}
-	return rows, nil
+	return meta.Rows, nil
 }
 
 // deliverDup handles a link-dup/link-reorder decision after a successful

@@ -382,7 +382,7 @@ func TestDuplicateInstallIdempotent(t *testing.T) {
 	buckets = buckets[:3]
 
 	req := wire.NodeMove{Buckets: buckets, From: from, To: to}
-	meta, frames, err := lb.Peers()[0].Extract(ctx, req)
+	meta, frames, err := lb.Peers()[0].Move(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +404,38 @@ func TestDuplicateInstallIdempotent(t *testing.T) {
 	}
 	if got := lb.Engines()[1].OwnerOf(buckets[0]); got != to {
 		t.Fatalf("bucket %d owned by %d on node 1, want %d", buckets[0], got, to)
+	}
+}
+
+// TestNodeMoveRejectsBadBuckets posts move bodies naming buckets outside
+// the geometry straight to a node, as a misbehaving coordinator or a
+// corrupted request would. The node must refuse them as bad requests — not
+// drop the connection on a panicking handler — and leave its plan and rows
+// alone.
+func TestNodeMoveRejectsBadBuckets(t *testing.T) {
+	const keys = 100
+	lb := newKVLoopback(t, 2, 2, 2)
+	loadAll(t, lb.Engines(), keys)
+	eng := lb.Engines()[0]
+	plan, rows := fmt.Sprint(eng.Plan()), eng.TotalRows()
+
+	for _, bucket := range []int{-1, 240, 1 << 20} {
+		body, _ := json.Marshal(wire.NodeMove{Buckets: []int{0, bucket}, From: 0, To: 1})
+		resp, err := http.Post(lb.Addrs()[0]+wire.PathNodeMove, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("bucket %d: %v", bucket, err)
+		}
+		var out wire.Response
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("bucket %d: decoding reply: %v", bucket, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || out.Code != wire.CodeBadRequest {
+			t.Errorf("bucket %d: status %d code %q (%s), want 400 %s", bucket, resp.StatusCode, out.Code, out.Error, wire.CodeBadRequest)
+		}
+	}
+	if fmt.Sprint(eng.Plan()) != plan || eng.TotalRows() != rows {
+		t.Fatal("refused moves changed the node's plan or row count")
 	}
 }
 

@@ -16,12 +16,12 @@ import (
 
 // Node endpoint paths served by a `pstore serve -node` process.
 const (
-	// PathNodeMove executes a same-node MoveBuckets (both partitions hosted
-	// by the receiving node). Body: NodeMove JSON; reply: NodeRows.
+	// PathNodeMove runs the source side of a chunk move at the node hosting
+	// the source partition and flips its local ownership. Body: NodeMove
+	// JSON; reply: a chunk stream — the extracted chunk when the destination
+	// is hosted elsewhere, or a header alone with Installed set when the
+	// node installed it at its own destination partition.
 	PathNodeMove = "/v1/node/move"
-	// PathNodeExtract extracts buckets at the source node and flips its
-	// local ownership. Body: NodeMove JSON; reply: a chunk stream.
-	PathNodeExtract = "/v1/node/extract"
 	// PathNodeInstall installs a chunk at the destination node and flips its
 	// local ownership. Body: one NodeMove frame, then a chunk stream; reply:
 	// NodeRows.
@@ -55,7 +55,7 @@ const (
 const ContentTypeChunk = "application/x-pstore-chunk"
 
 // NodeMove describes one chunk-level bucket move between two partitions;
-// it parameterizes move, extract and install operations. Durations travel
+// it parameterizes move and install operations. Durations travel
 // as nanoseconds so the JSON is locale- and unit-unambiguous.
 type NodeMove struct {
 	Buckets    []int `json:"buckets"`
@@ -135,10 +135,13 @@ type NodeStatus struct {
 }
 
 // ChunkMeta heads a chunk stream: the total row count and the number of
-// BucketFrame frames that follow.
+// BucketFrame frames that follow. Installed marks a move reply whose chunk
+// the source node already installed at its own destination partition: no
+// frames follow and there is nothing left to carry.
 type ChunkMeta struct {
-	Rows    int `json:"rows"`
-	Buckets int `json:"buckets"`
+	Rows      int  `json:"rows"`
+	Buckets   int  `json:"buckets"`
+	Installed bool `json:"installed,omitempty"`
 }
 
 // BucketFrame is one bucket's contents on the wire: table -> key -> row.

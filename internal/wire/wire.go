@@ -93,7 +93,8 @@ const (
 	CodeUnknownTxn = "unknown_txn"
 	// CodeStopped: the engine is shut down (HTTP 503).
 	CodeStopped = "stopped"
-	// CodeBadRequest: the request body or arguments did not parse (HTTP 400).
+	// CodeBadRequest: the request body or arguments did not parse, or a
+	// node move named an invalid partition or bucket (HTTP 400).
 	CodeBadRequest = "bad_request"
 	// CodeTxn: the procedure executed and returned an application error —
 	// a business outcome, not a transport failure (HTTP 422).
@@ -123,6 +124,8 @@ func CodeOf(err error) string {
 		return CodeStopped
 	case errors.Is(err, store.ErrNotOwned):
 		return CodeNotOwned
+	case errors.Is(err, store.ErrInvalidMove):
+		return CodeBadRequest
 	case errors.Is(err, ErrFenced):
 		return CodeFenced
 	default:

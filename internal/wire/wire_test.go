@@ -91,6 +91,7 @@ func TestErrorMapping(t *testing.T) {
 		{store.ErrPartitionDown, CodePartitionDown, 503, store.ErrPartitionDown},
 		{store.ErrUnknownTxn, CodeUnknownTxn, 400, store.ErrUnknownTxn},
 		{store.ErrStopped, CodeStopped, 503, store.ErrStopped},
+		{store.ErrInvalidMove, CodeBadRequest, 400, nil},
 		{errors.New("insufficient stock"), CodeTxn, 422, nil},
 	}
 	for _, tc := range cases {
